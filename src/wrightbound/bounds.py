@@ -23,6 +23,7 @@ from .interval import (
     imax,
     verified_real_roots,
 )
+from .jet import Jet
 
 DEFAULT_A = -37.0 / 24.0
 
@@ -107,12 +108,18 @@ def A(m, a):
     return hull(at(m.lo), at(m.hi))
 
 
+def _plus_breakpoints(a, M, rM, rm):
+    """(alpha_plus, beta_plus) from M and the ratios rM = M/(1+M),
+    rm = m/(1+m); M, rM and rm are all Intervals or all Jets."""
+    t = 0.5 * (rM / rm)
+    alpha_plus = (1.0 + M - t) / a
+    beta_plus = (1.0 + M + t) / a
+    return alpha_plus, beta_plus
+
+
 def breakpoints_plus(p):
     """Enclosures of (alpha_plus, beta_plus) for the upper envelope."""
-    t = 0.5 * (_ratio(p.M) / _ratio(p.m))
-    alpha_plus = (1.0 + p.M - t) / p.a
-    beta_plus = (1.0 + p.M + t) / p.a
-    return alpha_plus, beta_plus
+    return _plus_breakpoints(p.a, p.M, _ratio(p.M), _ratio(p.m))
 
 
 def breakpoints_minus(p):
@@ -226,6 +233,36 @@ def _require_beta_plus_negative(beta_plus, p):
             "need M <= A(m) or m < -1/9")
 
 
+def _branches_touched(apl, bpl):
+    """Which of L's three closed forms the box may need: alpha_plus >= -1;
+    alpha_plus < -1 <= beta_plus; beta_plus < -1.  An uncertain test
+    takes both sides."""
+    return (apl.hi >= -1.0, apl.lo < -1.0 and bpl.hi >= -1.0,
+            bpl.lo < -1.0)
+
+
+def _L_branches(a, M, rM, rm, apl, bpl, touched):
+    """L's closed form on each touched branch, in Interval or in Jet
+    arithmetic alike."""
+    B = ((1.0 + M) * rm * -2.0).sqrt()
+    branches = []
+    if touched[0]:
+        lg = (M + 0.5 * rM.sqr() / rm).ln1p()
+        i13 = a * rM - 1.0 - 0.5 * rM * (1.0 + rM) / rm + lg / rM
+        i2 = rM / rm + ((rM + B) / (B - rM)).ln() / B
+        branches.append(i13 + i2)
+    if touched[1]:
+        C = B / (rm * a)
+        lg = (M + 0.5 * rM.sqr() / rm).ln1p()
+        lin = -1.0 - M - 0.5 * rM / rm + lg / rM
+        prod = (((apl + 1.0 - C) / (apl + 1.0 + C)).abs()
+                * ((bpl - apl - C) / (bpl - apl + C)).abs())
+        branches.append(lin + a * (bpl + 1.0) - prod.ln() / B)
+    if touched[2]:
+        branches.append(a + (rM * (-a)).ln1p() / rM)
+    return branches
+
+
 def L(p):
     """Enclosure of L_a(M, m), the integral of r(z_plus) over [-1, 0].
 
@@ -233,29 +270,12 @@ def L(p):
     relative to -1; an uncertain branch test hulls both sides (sound
     because the integral is continuous across branch boundaries).
     """
-    a = p.a
     rM = _ratio(p.M)
     rm = _ratio(p.m)
-    apl, bpl = breakpoints_plus(p)
+    apl, bpl = _plus_breakpoints(p.a, p.M, rM, rm)
     _require_beta_plus_negative(bpl, p)
-    B = ((1.0 + p.M) * rm * -2.0).sqrt()
-
-    branches = []
-    if apl.hi >= -1.0:
-        lg = (p.M + 0.5 * rM.sqr() / rm).ln1p()
-        i13 = a * rM - 1.0 - 0.5 * rM * (1.0 + rM) / rm + lg / rM
-        i2 = rM / rm + ((rM + B) / (B - rM)).ln() / B
-        branches.append(i13 + i2)
-    if apl.lo < -1.0 and bpl.hi >= -1.0:
-        C = B / (rm * a)
-        lg = (p.M + 0.5 * rM.sqr() / rm).ln1p()
-        lin = -1.0 - p.M - 0.5 * rM / rm + lg / rM
-        prod = (((apl + 1.0 - C) / (apl + 1.0 + C)).abs()
-                * ((bpl - apl - C) / (bpl - apl + C)).abs())
-        branches.append(lin + a * (bpl + 1.0) - prod.ln() / B)
-    if bpl.lo < -1.0:
-        branches.append(a + (rM * (-a)).ln1p() / rM)
-    return hull(*branches)
+    return hull(*_L_branches(p.a, p.M, rM, rm, apl, bpl,
+                             _branches_touched(apl, bpl)))
 
 
 def L_limit_infinite_M(a):
@@ -264,48 +284,49 @@ def L_limit_infinite_M(a):
     return ia + (-ia).ln1p()
 
 
-def dL_dm(p):
-    """Enclosure of the partial derivative of L_a(M, m) in m."""
-    a = p.a
-    rM = _ratio(p.M)
-    rm = _ratio(p.m)
-    apl, bpl = breakpoints_plus(p)
-    _require_beta_plus_negative(bpl, p)
-    if p.m.hi >= -1.0 / 9.0 and p.M.lo >= A(p.m, a).hi:
-        raise AdmissibilityError(f"M={p.M!r} certainly above A(m) for {p!r}")
-    drm = 1.0 / (1.0 + p.m).sqr()
-    B = ((1.0 + p.M) * rm * -2.0).sqrt()
-    DB = -(1.0 + p.M) / B
-    dbpl = -0.5 * rM * drm / (rm.sqr() * a)
-    dapl = -dbpl
+def _ratio_jet(x):
+    """x/(1+x) over a jet: the value by _ratio's endpoint form, with
+    derivative 1/(1+x)^2 and second derivative -2/(1+x)^3."""
+    d1 = 1.0 / (1.0 + x.v).sqr()
+    return x.chain(_ratio(x.v), d1, -2.0 * d1 / (1.0 + x.v))
 
-    branches = []
-    if apl.hi >= -1.0:
-        lg_arg = 1.0 + p.M + 0.5 * rM.sqr() / rm
-        i13 = (0.5 * rM * (1.0 + rM) / rm.sqr()
-               - (0.5 * rM.sqr() / rm.sqr()) / lg_arg / rM) * drm
-        i2 = (-rM / rm.sqr()
-              - DB * ((rM + B) / (B - rM)).ln() / B.sqr()
-              + DB * (1.0 / (rM + B) - 1.0 / (B - rM)) / B) * drm
-        branches.append(i13 + i2)
-    if apl.lo < -1.0 and bpl.hi >= -1.0:
-        C = B / (rm * a)
-        DC = (DB * rm - B) * drm / (rm.sqr() * a)
-        lg_arg = 1.0 + p.M + 0.5 * rM.sqr() / rm
-        prod = (((apl + 1.0 - C) / (apl + 1.0 + C)).abs()
-                * ((bpl - apl - C) / (bpl - apl + C)).abs())
-        q = (0.5 * rM * drm / rm.sqr()
-             - (0.5 * rM.sqr() / rm.sqr()) * drm / lg_arg / rM
-             + a * dbpl
-             + prod.ln() * DB * drm / B.sqr()
-             - (1.0 / B) * ((dapl - DC) / (apl + 1.0 - C)
-                            - (dapl + DC) / (apl + 1.0 + C)
-                            + (dbpl - dapl - DC) / (bpl - apl - C)
-                            - (dbpl - dapl + DC) / (bpl - apl + C)))
-        branches.append(q)
-    if bpl.lo < -1.0:
-        branches.append(Interval.point(0.0))
-    return hull(*branches)
+
+def _L_jets(p, touched=None):
+    """(touched, jets): the jets of L's closed forms over the box p, on
+    the branches the box touches unless touched names them."""
+    M, m = Jet.variables(p.M, p.m)
+    rM = _ratio_jet(M)
+    rm = _ratio_jet(m)
+    apl, bpl = _plus_breakpoints(p.a, M, rM, rm)
+    _require_beta_plus_negative(bpl, p)
+    if touched is None:
+        touched = _branches_touched(apl, bpl)
+    return touched, _L_branches(p.a, M, rM, rm, apl, bpl, touched)
+
+
+def dL_dm(p):
+    """Enclosure of the partial derivative of L_a(M, m) in m.
+
+    It is the d/dm part of the jet of L's closed form, so the derivative
+    is derived from L rather than written out.  Over a box the naive
+    jet hull is intersected with a centred (mean-value) form taken per
+    branch: where branch k's jet evaluates, its formula g_k is smooth on
+    the whole box, so for every point x of the box
+    dg_k/dm(x) lies in dg_k/dm(c) + grad(dg_k/dm)(box) . (x - c),
+    c the box centre.  L equals g_k on the part of the box in branch k's
+    region, so the hull of these forms over the touched branches
+    encloses dL/dm without any continuity argument.
+    """
+    touched, jets = _L_jets(p)
+    naive = hull(*(j.dm for j in jets))
+    # Each operation at the centre acts on a subset of its operand over
+    # the box, so where the box's jets evaluate the centre's do too.
+    cM, cm = p.M.mid(), p.m.mid()
+    _, at_centre = _L_jets(BoundParams(p.a, cM, cm), touched)
+    dM, dm = p.M - cM, p.m - cm
+    centred = hull(*(c.dm + j.dMm * dM + j.dmm * dm
+                     for c, j in zip(at_centre, jets)))
+    return Interval(max(naive.lo, centred.lo), min(naive.hi, centred.hi))
 
 
 # -- enclosures of the curvature maximum D ------------------------------

@@ -141,8 +141,11 @@ def curves(which, grid_start, grid_stop, points, k, n, a, out):
     elif points == 1:
         grid = [grid_start]
     else:
+        # The last abscissa is grid_stop itself: start + (points-1)*step
+        # can round past it, out of the curve's window.
         step = (grid_stop - grid_start) / (points - 1)
-        grid = [grid_start + i * step for i in range(points)]
+        grid = [grid_start + i * step for i in range(points - 1)]
+        grid.append(grid_stop)
     rows = emit_curves(grid, which, k, n, a)
     path = _out_dir(out) / f"curve-{which}.dat"
     with path.open("w") as fh:

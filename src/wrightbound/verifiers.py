@@ -6,7 +6,6 @@ carrying its evidence.  A false verdict is evidence output, not an
 error: runs with modified parameters are expected to fail.
 """
 
-import concurrent.futures
 import math
 import time
 from dataclasses import dataclass
@@ -16,7 +15,6 @@ from . import billiard
 from .bounds import (
     DEFAULT_A,
     A,
-    AdmissibilityError,
     BoundParams,
     L,
     d_enclosure,
@@ -24,7 +22,7 @@ from .bounds import (
     envelope_tilde,
     sigma_enclosure,
 )
-from .interval import Interval, verified_real_roots
+from .interval import Interval, IntervalError, verified_real_roots
 from .separation import m_k
 
 P = BoundParams
@@ -88,61 +86,46 @@ def _outside_region(M, m, a):
     return M.lo >= A(_pt(m.lo), a).hi
 
 
-def _certify_nonneg(M, m, a, depth=12, budget=None):
-    """Certify dL/dm >= 0 on the box intersected with the admissible
-    region, by adaptive four-way bisection.  Returns (ok, evals); an
-    exhausted eval budget or depth counts as not certified, never as a
-    violation."""
-    stack = [(M, m, depth)]
-    evals = 0
+def _refine(M, m, a, accept, depth, budget=None):
+    """Certify accept(enclosure of dL/dm) on every part of the box
+    M x m below M = A(m), where the box's own enclosure did not pass or
+    could not be made, by adaptive four-way bisection.
+
+    A sub-box is dropped only when _outside_region certifies it lies
+    wholly above A(m).  One whose enclosure fails accept, or raises, is
+    split again, down to level depth below the box.  Returns
+    (ok, evals, deepest, top): evals counts the dL_dm calls that
+    returned, deepest is the deepest level evaluated, and top the
+    largest upper endpoint of an accepted enclosure.  An exhausted
+    depth or eval budget counts as not certified, never as a violation.
+    """
+    stack = _quarters(M, m, 0)
+    evals = deepest = 0
+    top = -math.inf
     while stack:
-        Mi, mi, d = stack.pop()
+        Mi, mi, level = stack.pop()
         if _outside_region(Mi, mi, a):
             continue
         if budget is not None and evals >= budget:
-            return False, evals
+            return False, evals, deepest, top
+        deepest = max(deepest, level)
         try:
             v = dL_dm(P(a, Mi, mi))
-        except AdmissibilityError:
-            continue
-        evals += 1
-        if v.lo >= 0.0:
-            continue
-        if d == 0:
-            return False, evals
-        for Ms in Mi.split():
-            for ms in mi.split():
-                stack.append((Ms, ms, d - 1))
-    return True, evals
+        except IntervalError:
+            pass
+        else:
+            evals += 1
+            if accept(v):
+                top = max(top, v.hi)
+                continue
+        if level == depth:
+            return False, evals, deepest, top
+        stack += _quarters(Mi, mi, level)
+    return True, evals, deepest, top
 
 
-def _certify_below(M, m, a, limit, depth=14, budget=None):
-    """Certify dL/dm < limit on the box intersected with the admissible
-    region, returning (ok, evals, bound) with bound the refined maximum
-    of the certified leaf enclosures."""
-    stack = [(M, m, depth)]
-    evals = 0
-    bound = -math.inf
-    while stack:
-        Mi, mi, d = stack.pop()
-        if _outside_region(Mi, mi, a):
-            continue
-        if budget is not None and evals >= budget:
-            return False, evals, math.inf
-        try:
-            v = dL_dm(P(a, Mi, mi))
-        except AdmissibilityError:
-            continue
-        evals += 1
-        if v.hi < limit:
-            bound = max(bound, v.hi)
-            continue
-        if d == 0:
-            return False, evals, math.inf
-        for Ms in Mi.split():
-            for ms in mi.split():
-                stack.append((Ms, ms, d - 1))
-    return True, evals, bound
+def _quarters(M, m, level):
+    return [(Ms, ms, level + 1) for Ms in M.split() for ms in m.split()]
 
 
 def verify_2_15b(a=DEFAULT_A, sup_limit=0.91):
@@ -151,7 +134,14 @@ def verify_2_15b(a=DEFAULT_A, sup_limit=0.91):
 
     The supremum is bounded on every row; the nonnegativity side is
     certified by bisection and gates the verdict on rows m <= -0.13,
-    with the remaining rows reported separately.
+    with the remaining rows reported separately.  A mesh box is skipped
+    only when it lies wholly above A(m); one that cannot be enclosed is
+    bisected like one whose enclosure misses a bound.
+
+    sup is the largest certified upper bound among the accepted
+    enclosures (the raw one of a mesh box, or its refined leaves).  It
+    bounds dL/dm from above and stops refining once below sup_limit,
+    so it is not the maximum of dL/dm.
     """
     start = time.perf_counter()
     step = 4e-4
@@ -165,7 +155,9 @@ def verify_2_15b(a=DEFAULT_A, sup_limit=0.91):
     sup = -math.inf
     sup_at = None
     sup_ok = True
-    evals = 0
+    by_phase = dict.fromkeys(
+        ("raw", "sup_refinement", "core_nonneg", "extended_nonneg"), 0)
+    max_depth = 0
     boxes = 0
     core_low_ok = True
     extended_low_ok = True
@@ -175,32 +167,37 @@ def verify_2_15b(a=DEFAULT_A, sup_limit=0.91):
         m = Interval(m2, m1)
         for M in _row_boxes(m1, m2, a):
             boxes += 1
+            if _outside_region(M, m, a):
+                continue
             try:
                 v = dL_dm(P(a, M, m))
-            except AdmissibilityError:
-                continue
-            evals += 1
-            if v.hi >= sup_limit:
-                # The raw enclosure is too wide near the corner; refine
-                # by bisection until every sub-box clears the limit.
-                ok, n, refined = _certify_below(M, m, a, sup_limit)
-                evals += n
+            except IntervalError:
+                v = None
+            else:
+                by_phase["raw"] += 1
+            if v is not None and v.hi < sup_limit:
+                ok, v_hi = True, v.hi
+            else:
+                # Too wide (or no enclosure) for the limit: refine by
+                # bisection until every sub-box clears it.
+                ok, n, depth, v_hi = _refine(
+                    M, m, a, lambda w: w.hi < sup_limit, depth=14)
+                by_phase["sup_refinement"] += n
+                max_depth = max(max_depth, depth)
                 if not ok:
                     sup_ok = False
                     failures.append({"box": [M.lo, M.hi, m2, m1],
-                                     "upper": v.hi})
-                    continue
-                v_hi = refined
-            else:
-                v_hi = v.hi
-            if v_hi > sup:
+                                     "upper": None if v is None else v.hi})
+            if ok and v_hi > sup:
                 sup, sup_at = v_hi, (M.lo, M.hi, m2, m1)
-            if v.lo < 0.0:
+            if v is None or v.lo < 0.0:
                 # Core rows must certify; extended rows get a bounded
                 # attempt (their lower side is reported, not gating).
-                ok, n = _certify_nonneg(
-                    M, m, a, budget=None if core else 300)
-                evals += n
+                ok, n, depth, _ = _refine(
+                    M, m, a, lambda w: w.lo >= 0.0, depth=12,
+                    budget=None if core else 300)
+                by_phase["core_nonneg" if core else "extended_nonneg"] += n
+                max_depth = max(max_depth, depth)
                 if not ok:
                     if core:
                         core_low_ok = False
@@ -219,10 +216,14 @@ def verify_2_15b(a=DEFAULT_A, sup_limit=0.91):
     holds = (sup_ok and sup < sup_limit and core_low_ok and fd_ok)
     return _verdict("2.15b", start, holds, {
         "sup": sup, "sup_at": sup_at, "sup_limit": sup_limit,
+        "sup_margin": sup_limit - sup,
         "nonneg_certified_core": core_low_ok,
         "nonneg_certified_extended": extended_low_ok,
         "extended_uncertified_boxes": extended_uncertified,
-        "rows": len(rows), "boxes": boxes, "evaluations": evals,
+        "rows": len(rows), "boxes": boxes,
+        "evaluations": sum(by_phase.values()),
+        "evaluations_by_phase": by_phase,
+        "max_depth": max_depth,
         "finite_difference_check": {"value": fd,
                                     "enclosure": [enc.lo, enc.hi],
                                     "ok": fd_ok},
@@ -445,10 +446,6 @@ VERIFIERS = {
 }
 
 
-def verify_all(max_workers=4):
-    """Run every verifier concurrently; returns verdicts in registry
-    order."""
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) \
-            as pool:
-        futures = {name: pool.submit(fn) for name, fn in VERIFIERS.items()}
-        return [futures[name].result() for name in VERIFIERS]
+def verify_all():
+    """Run every verifier in turn; returns verdicts in registry order."""
+    return [fn() for fn in VERIFIERS.values()]

@@ -19,6 +19,7 @@ from wrightbound.bounds import (
     BoundParams,
     L,
     L_limit_infinite_M,
+    _L_jets,
     breakpoints,
     d_enclosure,
     d_pair,
@@ -30,7 +31,7 @@ from wrightbound.bounds import (
     sigma_enclosure,
     z_eval,
 )
-from wrightbound.interval import Interval
+from wrightbound.interval import Interval, hull
 
 mpmath.mp.dps = 40
 
@@ -272,6 +273,51 @@ def test_dL_spec_example_positive():
     enc = dL_dm(P(A_STAR, pt(0.2), pt(-0.15)))
     assert 0.0 < enc.lo <= enc.hi < 0.91
     assert enc.width() < 1e-9
+
+
+def _region_boxes(count, seed):
+    """Seeded boxes of the 2.15b region -m <= M <= A(m),
+    m in [-0.25, -0.009], from a mesh box (1e-3 x 4e-4) down to
+    1e-7 x 4e-8, each with three interior points inside the region."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        scale = 10.0 ** rng.uniform(-4.0, 0.0)
+        hM, hm = 1e-3 * scale, 4e-4 * scale
+        m0 = rng.uniform(-0.25, -0.009 - hm)
+        M0 = rng.uniform(-m0 - hM, A(pt(m0), A_STAR).lo)
+        points = []
+        for _ in range(50):
+            M = rng.uniform(M0, M0 + hM)
+            m = rng.uniform(m0, m0 + hm)
+            if -m <= M <= A(pt(m), A_STAR).lo:
+                points.append((M, m))
+                if len(points) == 3:
+                    out.append((Interval(M0, M0 + hM),
+                                Interval(m0, m0 + hm), points))
+                    break
+    return out
+
+
+def test_dL_box_contains_quadrature_central_differences():
+    h = mpmath.mpf("1e-12")
+    for Mb, mb, points in _region_boxes(200, 20261021):
+        enc = dL_dm(P(A_STAR, Mb, mb))
+        for M, m in points:
+            fd = (_quad_L(A_STAR, M, mpmath.mpf(m) + h)
+                  - _quad_L(A_STAR, M, mpmath.mpf(m) - h)) / (2 * h)
+            # The difference quotient is accurate to about 1e-24.
+            assert enc.lo - 1e-20 <= fd <= enc.hi + 1e-20, (Mb, mb, M, m)
+
+
+def test_L_jet_values_reproduce_L():
+    # L's one closed form, run in Jet arithmetic, has L's own values.
+    rng = random.Random(29)
+    for M, m in _admissible_pairs(100, 31, m_lo=-0.6):
+        w = rng.choice([0.0, 1e-9, 1e-5, 1e-3])
+        p = P(A_STAR, Interval(M, M + w), Interval(m - w, m))
+        _, jets = _L_jets(p)
+        assert hull(*(j.v for j in jets)) == L(p), (M, m, w)
 
 
 # -- curvature bound D ---------------------------------------------------

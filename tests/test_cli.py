@@ -146,6 +146,18 @@ def test_curves_bad_abscissa_commented(runner, tmp_path):
     assert "failed abscissas" in res.output
 
 
+@pytest.mark.parametrize("points", [100, 400])
+def test_curves_grid_ends_at_grid_stop(runner, tmp_path, points):
+    res = runner.invoke(main, ["curves", "theta_n", "--grid-start", "-0.25",
+                               "--grid-stop", "-0.0093", "--points",
+                               str(points), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    lines = (tmp_path / "curve-theta_n.dat").read_text().splitlines()[1:]
+    assert len(lines) == points
+    assert not any(line.startswith("#") for line in lines)
+    assert float(lines[-1].split()[0]) == -0.0093
+
+
 def test_curves_unknown_name_exit_two(runner, tmp_path):
     res = runner.invoke(main, ["curves", "bogus", "--grid-start", "0.1",
                                "--grid-stop", "0.2", "--out", str(tmp_path)])

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from wrightbound import verifiers
+from wrightbound.bounds import AdmissibilityError
 from wrightbound.verifiers import (
     VERIFIERS,
     LemmaVerdict,
@@ -41,6 +43,47 @@ def test_2_15b_holds(verdict_2_15b):
     assert v.evidence["finite_difference_check"]["ok"]
     assert v.evidence["rows"] >= 600
     assert v.runtime_ms < 10 * 60 * 1000
+
+
+def _one_row(monkeypatch, top):
+    """Cut the 2.15b mesh to its row with top m = top."""
+    real = verifiers._row_boxes
+    monkeypatch.setattr(verifiers, "_row_boxes",
+                        lambda m1, m2, a: real(m1, m2, a) if m1 == top
+                        else [])
+
+
+def test_2_15b_corner_row_evaluation_count(monkeypatch):
+    # The corner box [0.009, 0.01] x [-0.0094, -0.009] is where naive
+    # enclosures of dL/dm are widest; the centred form keeps its
+    # refinement to a few hundred evaluations.
+    _one_row(monkeypatch, -0.009)
+    ev = verifiers.verify_2_15b().evidence
+    assert ev["boxes"] == 1
+    assert ev["evaluations"] <= 1000
+    assert ev["extended_uncertified_boxes"] == 0
+    assert sum(ev["evaluations_by_phase"].values()) == ev["evaluations"]
+    assert ev["sup_margin"] == ev["sup_limit"] - ev["sup"]
+
+
+def test_2_15b_unenclosed_inside_box_fails_the_verdict(monkeypatch):
+    # A box inside the region whose enclosure raises is never skipped:
+    # bisection runs out of depth on it and the verdict fails.
+    real = verifiers.dL_dm
+    M0, m0 = 0.15031, -0.130173
+
+    def dL_dm(p):
+        if p.M.contains(M0) and p.m.contains(m0):
+            raise AdmissibilityError("stub")
+        return real(p)
+
+    _one_row(monkeypatch, -0.13)
+    monkeypatch.setattr(verifiers, "dL_dm", dL_dm)
+    v = verifiers.verify_2_15b()
+    assert not v.holds
+    assert not v.evidence["nonneg_certified_core"]
+    assert v.evidence["max_depth"] == 14
+    assert len(v.evidence["failures"]) == 2
 
 
 def test_2_15c_holds_with_count_band():
