@@ -12,8 +12,6 @@ computations; one-sided results state their direction explicitly.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .interval import (
     CertificationError,
     DomainError,
@@ -339,7 +337,9 @@ def _arc_critical_points(p, b, upper):
     and beta_minus is a smooth rational function of s whose stationary
     points solve a quartic; roots of the midpoint quartic are certified
     where possible and inflated in upper mode to absorb coefficient
-    rounding.
+    rounding.  When they resist certification, upper mode takes the
+    whole search window as one candidate: interval evaluation over it
+    bounds every critical point inside, more loosely.
     """
     a = p.a
     rMm = (r(p.M, a)).mid()
@@ -357,26 +357,18 @@ def _arc_critical_points(p, b, upper):
     if not u_hi > u_lo:
         return []
     search = Interval(u_lo, u_hi)
-    enclosures = None
     try:
         enclosures = [re.interval for re in verified_real_roots(co, search)]
     except CertificationError:
         if not upper:
             return []
-    if enclosures is None:
-        enclosures = []
-        for z in np.roots(co):
-            if abs(z.imag) > 1e-7 * max(abs(z.real), 1.0):
-                continue
-            u = float(z.real)
-            if u_lo - 1e-9 <= u <= u_hi + 1e-9:
-                enclosures.append(Interval(u - 1e-9, u + 1e-9))
+        enclosures = [search]
     if upper:
         enclosures = [Interval(e.lo - 1e-6, e.hi + 1e-6) for e in enclosures]
     return [e + 1.0 + b.alpha_plus for e in enclosures]
 
 
-def d_enclosure(p, mode, n_arc=None, n_tail=None):
+def d_enclosure(p, mode):
     """Certified one-sided bound of D_a(M,m) = a^2 max_s frazeta(s).
 
     mode "lower" maximizes point and thin-interval candidates (any
@@ -389,10 +381,8 @@ def d_enclosure(p, mode, n_arc=None, n_tail=None):
     upper = mode == "upper"
     if mode not in ("lower", "upper"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n_arc is None:
-        n_arc = 32 if upper else 4
-    if n_tail is None:
-        n_tail = 10 if upper else 4
+    # Cells in the partition cover of the arc and of the tail past it.
+    n_arc, n_tail = (32, 10) if upper else (4, 4)
     b = envelope(p, "combined")
     bk = b.breakpoints
     if bk.beta_plus.hi >= 0.0 or bk.beta_minus.lo <= 0.0:
@@ -447,10 +437,9 @@ def d_enclosure(p, mode, n_arc=None, n_tail=None):
     return max(vals)
 
 
-def d_pair(p, **kw):
+def d_pair(p):
     """Two-sided bracket of D_a(M, m)."""
-    return EnclosurePair(d_enclosure(p, "lower", **kw),
-                         d_enclosure(p, "upper", **kw))
+    return EnclosurePair(d_enclosure(p, "lower"), d_enclosure(p, "upper"))
 
 
 # -- Sigma ---------------------------------------------------------------
@@ -495,18 +484,13 @@ def sigma_closed_form(m, Za, a):
     return hull(*branches)
 
 
-def sigma_enclosure(p, mode, **kw):
+def sigma_enclosure(p, mode):
     """Certified one-sided bound of Sigma_a(M, m).
 
     Sigma is increasing in the curvature D, so the lower bound feeds the
     lower D enclosure and takes the lower endpoint; upper symmetrically.
     """
-    d = d_enclosure(p, mode, **kw)
+    d = d_enclosure(p, mode)
     Za = Interval.point(d) / Interval.point(p.a).sqr()
     v = sigma_closed_form(p.m, Za, p.a)
     return v.hi if mode == "upper" else v.lo
-
-
-def sigma_pair(p, **kw):
-    return EnclosurePair(sigma_enclosure(p, "lower", **kw),
-                         sigma_enclosure(p, "upper", **kw))

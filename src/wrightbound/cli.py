@@ -100,24 +100,25 @@ def verify(selector, out):
 @click.option("--to", "m_stop", type=float, required=True)
 @click.option("--k", type=int, default=5, show_default=True)
 @click.option("--n", type=int, default=6, show_default=True)
-@click.option("--chunks", type=int, default=1, show_default=True)
 @click.option("--max-steps", type=int, default=None,
               help="Iteration budget (or WRIGHT_MAX_STEPS).")
 @click.option("--a", type=float, default=DEFAULT_A, show_default=True)
 @click.option("--out", default=None)
-def separate(m_start, m_stop, k, n, chunks, max_steps, a, out):
+def separate(m_start, m_stop, k, n, max_steps, a, out):
     """Run the staircase separation on [--to, --from]."""
     try:
         cfg = SeparationConfig(m_start, m_stop, k, n,
-                               _max_steps(max_steps), chunks, a)
+                               _max_steps(max_steps), a)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     report = run_separation(cfg)
     _write_manifest(out, "separate", cfg.to_dict(), reports=[report])
     status = "separated" if report.separated else \
         f"NOT separated ({report.failure_reason})"
+    # final_m is None when m_k failed on the last rung.
+    final_m = "none" if report.final_m is None else f"{report.final_m:.17g}"
     click.echo(f"{status}: {report.iterations} iterations, "
-               f"final M={report.final_M:.17g} m={report.final_m:.17g} "
+               f"final M={report.final_M:.17g} m={final_m} "
                f"in {report.elapsed:.1f} s")
     sys.exit(0 if report.separated else 1)
 

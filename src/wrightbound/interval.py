@@ -10,8 +10,6 @@ libm implementations are faithful but not correctly rounded).
 
 import math
 
-import numpy as np
-
 
 class IntervalError(ValueError):
     """Base class for interval kernel failures."""
@@ -269,13 +267,6 @@ def imax(a, b):
     return r
 
 
-def imin(a, b):
-    r = Interval.__new__(Interval)
-    r.lo = min(a.lo, b.lo)
-    r.hi = min(a.hi, b.hi)
-    return r
-
-
 # -- verified polynomial root isolation ---------------------------------
 
 
@@ -331,14 +322,49 @@ def _newton_certify(coeffs, deriv, box, budget):
     return box if certified else None
 
 
+# A piece that still needs splitting at this depth, 2**-60 of its
+# window, is taken to hold a multiple or clustered root.
+_MAX_DEPTH = 60
+
+
+def _signed(v):
+    return v.lo > 0.0 or v.hi < 0.0
+
+
+def _float_root(coeffs, lo, hi, rising):
+    """Plain-float bisection to the one root of a polynomial that rises
+    (or falls) across [lo, hi]."""
+    x = 0.5 * (lo + hi)
+    while lo < x < hi:
+        f = 0.0
+        for c in coeffs:
+            f = f * x + c
+        if (f < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+    return x
+
+
 def verified_real_roots(coeffs, search, budget=60):
-    """Isolate the simple real roots of a polynomial inside search.
+    """Isolate every real root of a polynomial inside search.
 
     coeffs lists binary64 coefficients from highest degree to constant
-    (degree at most 4).  Returns RootEnclosure objects sorted by
-    position.  Raises CertificationError when a candidate root inside
-    the search window resists certification (clustered or multiple
-    roots), so callers can fall back to a covering strategy.
+    (degree at most 4).  Returns one RootEnclosure per root, sorted by
+    position; no root in search is missed.  The window is bisected.  A
+    piece is dropped when its interval value excludes zero.  A piece on
+    which p' excludes zero holds at most one root, and holds none if p
+    has one strict sign at both its ends; otherwise interval Newton
+    certifies a box around a float seed.  Raises
+    CertificationError when a piece still needs splitting at depth
+    _MAX_DEPTH, or a seed resists certification (a multiple or
+    clustered root).
+
+    Each enclosure is the Newton box clipped to search.  The Newton test
+    runs on the unclipped box, since a root on an edge of search is
+    never interior to a box clipped there; so when the box straddles an
+    edge, its root may lie just outside search.
     """
     cs = [float(c) for c in coeffs]
     while cs and cs[0] == 0.0:
@@ -347,45 +373,53 @@ def verified_real_roots(coeffs, search, budget=60):
         raise ValueError("degree above 4 is not supported")
     if len(cs) <= 1:
         return []
-    if len(cs) == 2:
-        root = Interval.point(-cs[1]) / Interval.point(cs[0])
-        if root.hi < search.lo or root.lo > search.hi:
-            return []
-        return [RootEnclosure(root, True)]
-
-    approx = np.roots(cs)
-    scale = max(abs(search.lo), abs(search.hi), 1.0)
-    found = []
-    for z in approx:
-        if abs(z.imag) > 1e-7 * max(abs(z.real), 1.0):
-            continue
-        x = float(z.real)
-        if x < search.lo - 1e-9 * scale or x > search.hi + 1e-9 * scale:
-            continue
-        found.append(min(max(x, search.lo), search.hi))
-    found.sort()
-
     deriv = poly_deriv(cs)
-    enclosures = []
-    for x in found:
-        if enclosures and enclosures[-1].interval.contains(x):
+    scale = max(abs(search.lo), abs(search.hi), 1.0)
+    boxes = []
+
+    def known(piece):
+        # p' has no zero on a monotone piece nor on the Newton candidate
+        # of a certified box.  When the two meet, p is strictly monotone
+        # on their union, so the box's root is the only root of both: a
+        # root is counted once even when it sits on a split point.
+        return any(piece.lo <= b.hi and b.lo <= piece.hi for b in boxes)
+
+    stack = [(search, 0)]
+    while stack:
+        piece, depth = stack.pop()
+        if _signed(poly_eval(cs, piece)):
             continue
-        h = max(1e-13, 1e-12 * abs(x))
-        box = None
-        for _ in range(budget):
-            cand = Interval(x - h, x + h).intersect(search)
-            if cand is None or cand.lo == cand.hi:
-                cand = Interval(x - h, x + h)
-            box = _newton_certify(cs, deriv, cand, budget)
-            if box is not None:
-                break
-            h *= 8.0
-            if h > 2.0 * scale:
-                break
-        if box is None:
+        d = poly_eval(deriv, piece)
+        if _signed(d):
+            ends = hull(poly_eval(cs, Interval.point(piece.lo)),
+                        poly_eval(cs, Interval.point(piece.hi)))
+            if known(piece) or _signed(ends):
+                continue
+            # x lies in the piece and in the Newton candidate, so as in
+            # known() the box's root is the only root the piece can hold.
+            x = _float_root(cs, piece.lo, piece.hi, d.lo > 0.0)
+            h = max(1e-13, 1e-12 * abs(x))
+            while (box := _newton_certify(
+                    cs, deriv, Interval(x - h, x + h), budget)) is None:
+                h *= 8.0
+                if h > 2.0 * scale:
+                    raise CertificationError(
+                        f"could not certify a root near {x!r} of {cs!r}")
+            if not known(box):
+                boxes.append(box)
+            continue
+        # The mean-value form p(c) + p'(piece) (piece - c) is tight near a
+        # critical point, where Horner's form is not: without it, pieces
+        # around a cluster of roots multiply into the thousands.
+        c = piece.mid()
+        if _signed(poly_eval(cs, Interval.point(c)) + d * (piece - c)):
+            continue
+        left, right = piece.split()
+        if depth >= _MAX_DEPTH or left.hi in (piece.lo, piece.hi):
             raise CertificationError(
-                f"could not certify root near {x!r} of {cs!r}")
-        clipped = box.intersect(search)
-        if clipped is not None:
-            enclosures.append(RootEnclosure(clipped, True))
-    return enclosures
+                f"root of {cs!r} near {piece!r} is not simple")
+        stack.append((right, depth + 1))
+        stack.append((left, depth + 1))
+
+    clipped = (b.intersect(search) for b in sorted(boxes, key=lambda b: b.lo))
+    return [RootEnclosure(c, True) for c in clipped if c is not None]

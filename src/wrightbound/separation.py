@@ -9,7 +9,6 @@ band m > -0.0093 certifies that the two regions share no point over the
 swept M range.
 """
 
-import concurrent.futures
 import logging
 import time
 from dataclasses import dataclass, field
@@ -72,7 +71,6 @@ class SeparationConfig:
     k: int = 5
     n: int = 6
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    parallel_chunks: int = 1
     a: float = DEFAULT_A
 
     def __post_init__(self):
@@ -82,15 +80,14 @@ class SeparationConfig:
                 f"[{self.M_stop!r}, {self.M_start!r}]")
         if self.k < 1 or self.n < 1:
             raise ValueError("k and n must be >= 1")
-        if self.max_iterations < 1 or self.parallel_chunks < 1:
-            raise ValueError("budgets must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("the iteration budget must be positive")
 
     def to_dict(self):
         return {
             "M_start": self.M_start, "M_stop": self.M_stop,
             "k": self.k, "n": self.n,
-            "max_iterations": self.max_iterations,
-            "parallel_chunks": self.parallel_chunks, "a": self.a,
+            "max_iterations": self.max_iterations, "a": self.a,
         }
 
 
@@ -128,21 +125,32 @@ def _decimate(values, cap=1000):
     return out
 
 
-def _run_chunk(cfg):
+def run_separation(cfg):
+    """Run the staircase from M_start down to M_stop.
+
+    A rung whose m_k or theta_n leaves its domain (an IntervalError, or
+    the ValueError of a window check) ends the run unseparated with
+    failure_reason "domain_error"; final_M and final_m are then that
+    rung's M and m, m being None when m_k itself failed.
+    """
     start = time.perf_counter()
     M = cfg.M_start
     trajectory = [M]
-    last_m = None
     separated = False
     reason = None
     iterations = 0
     while iterations < cfg.max_iterations:
         iterations += 1
-        last_m = m_k(M, cfg.k, cfg.a)
-        if last_m > M_EXIT:
-            separated = True
+        last_m = None
+        try:
+            last_m = m_k(M, cfg.k, cfg.a)
+            if last_m > M_EXIT:
+                separated = True
+                break
+            M_next = theta_n(last_m, cfg.n, cfg.a)
+        except (IntervalError, ValueError):
+            reason = "domain_error"
             break
-        M_next = theta_n(last_m, cfg.n, cfg.a)
         if M_next >= M:
             reason = "stalled"
             break
@@ -159,37 +167,6 @@ def _run_chunk(cfg):
     return SeparationReport(cfg, iterations, M, last_m, separated,
                             time.perf_counter() - start,
                             _decimate(trajectory), reason)
-
-
-def run_separation(cfg):
-    """Run the staircase, optionally pre-split into independent chunks.
-
-    Chunk boundaries are closed-overlap: chunk i starts exactly where
-    chunk i+1 ends, so success on every chunk covers the full interval
-    with no gaps.
-    """
-    if cfg.parallel_chunks == 1:
-        return _run_chunk(cfg)
-    start = time.perf_counter()
-    edges = [cfg.M_stop + (cfg.M_start - cfg.M_stop) * j / cfg.parallel_chunks
-             for j in range(cfg.parallel_chunks + 1)]
-    subs = [SeparationConfig(edges[j + 1], edges[j], cfg.k, cfg.n,
-                             cfg.max_iterations, 1, cfg.a)
-            for j in range(cfg.parallel_chunks)]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(cfg.parallel_chunks, 4)) as pool:
-        reports = list(pool.map(_run_chunk, subs))
-    lowest = reports[0]
-    sample = []
-    for rep in sorted(reports, key=lambda r: -r.config.M_start):
-        sample.extend(rep.trajectory_sample)
-    bad = [r for r in reports if not r.separated]
-    return SeparationReport(
-        cfg, sum(r.iterations for r in reports),
-        min(r.final_M for r in reports),
-        lowest.final_m, not bad,
-        time.perf_counter() - start, _decimate(sample),
-        bad[0].failure_reason if bad else None)
 
 
 # -- curve sampling ------------------------------------------------------
@@ -227,6 +204,8 @@ def emit_curves(grid, which, k=5, n=6, a=DEFAULT_A):
     Two-sided enclosures fill both columns; one-sided certified bounds
     fill their side and NaN the other.
     """
+    if which not in ("A", "m_k", "theta_n", "Lhat_lower"):
+        raise ValueError(f"unknown curve {which!r}")
     nan = float("nan")
     rows = []
     for x in grid:
@@ -239,12 +218,8 @@ def emit_curves(grid, which, k=5, n=6, a=DEFAULT_A):
                 rows.append(CurveSample(x, m_k(x, k, a), nan))
             elif which == "theta_n":
                 rows.append(CurveSample(x, nan, theta_n(x, n, a)))
-            elif which == "Lhat_lower":
-                rows.append(CurveSample(x, _lhat_lower(x, k, a), nan))
             else:
-                raise ValueError(f"unknown curve {which!r}")
+                rows.append(CurveSample(x, _lhat_lower(x, k, a), nan))
         except (IntervalError, ValueError) as exc:
-            if which not in ("A", "m_k", "theta_n", "Lhat_lower"):
-                raise
             rows.append(CurveSample(x, nan, nan, str(exc)))
     return rows

@@ -31,7 +31,7 @@ from wrightbound.bounds import (
     sigma_enclosure,
     z_eval,
 )
-from wrightbound.interval import Interval, hull
+from wrightbound.interval import CertificationError, Interval, hull
 
 mpmath.mp.dps = 40
 
@@ -352,6 +352,27 @@ def test_D_dense_grid_inside_bounds_100_pairs():
         grid = _grid_max_D(A_STAR, M, m)
         assert lo - 1e-6 <= grid <= hi + 1e-12, (M, m)
         assert lo <= hi
+
+
+def test_D_upper_without_certified_roots_stays_above_grid(monkeypatch):
+    """When root isolation fails, the whole search window stands in for
+    the rising arc's critical points: looser, still above the maximum."""
+    from wrightbound import bounds
+    forced = []
+
+    def fail(coeffs, search):
+        forced.append(search)
+        raise CertificationError("forced")
+
+    for M, m in _d_admissible_pairs(8, 7):
+        p = P(A_STAR, pt(M), pt(m))
+        certified = d_enclosure(p, "upper")
+        monkeypatch.setattr(bounds, "verified_real_roots", fail)
+        fallback = d_enclosure(p, "upper")
+        monkeypatch.undo()
+        assert _grid_max_D(A_STAR, M, m) <= fallback + 1e-12, (M, m)
+        assert certified <= fallback, (M, m)
+    assert len(forced) == 8
 
 
 def test_D_analytic_bracket():

@@ -2,10 +2,15 @@
 and curve file format."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import wrightbound
 from wrightbound.cli import main
 
 
@@ -89,6 +94,36 @@ def test_separate_exhausted_budget_exit_one(runner, tmp_path):
     assert res.exit_code == 1
     man = _manifest(tmp_path, "separate")
     assert man["reports"][0]["separated"] is False
+
+
+@pytest.mark.parametrize("a, m", [("-1.6", -0.2661687841784008),
+                                  ("-1.2", -0.1592686155701917)])
+def test_separate_domain_error_writes_manifest(runner, tmp_path, a, m):
+    # At a = -1.6, m_k(0.377) leaves theta_n's window; at a = -1.2 the
+    # tilde envelope's breakpoint is not negative.
+    res = runner.invoke(main, ["separate", "--from", "0.377", "--to", "0.36",
+                               "--a", a, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "domain_error" in res.output
+    report = _manifest(tmp_path, "separate")["reports"][0]
+    assert report["separated"] is False
+    assert report["failure_reason"] == "domain_error"
+    assert (report["final_M"], report["final_m"]) == (0.377, m)
+
+
+def test_separate_has_no_chunks_option(runner):
+    res = runner.invoke(main, ["separate", "--help"])
+    assert res.exit_code == 0 and "--chunks" not in res.output
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(pathlib.Path(wrightbound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, wrightbound.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # -- env-var output directory --------------------------------------------

@@ -193,6 +193,29 @@ def test_roots_random_integer_quartics():
             assert any(f.interval.contains(float(r)) for f in found)
 
 
+def test_roots_on_the_window_edges():
+    # (x + 2)(x - 1)(x - 3): roots on both edges of [1, 3], and on the
+    # lower edge of [-2, 0.5].
+    cs = [1.0, -2.0, -5.0, 6.0]
+    found = verified_real_roots(cs, Interval(1.0, 3.0))
+    assert len(found) == 2
+    assert found[0].interval.contains(1.0) and found[1].interval.contains(3.0)
+    found = verified_real_roots(cs, Interval(-2.0, 0.5))
+    assert len(found) == 1 and found[0].interval.contains(-2.0)
+
+
+def test_roots_on_split_points_counted_once():
+    # Bisecting [-10, 10] splits at 0, then +-5, then +-2.5: every root of
+    # x (x + 5)(x - 5)(x - 2.5) lies on a split point.
+    cs = [1.0, -2.5, -25.0, 62.5, 0.0]
+    found = verified_real_roots(cs, Interval(-10.0, 10.0))
+    assert len(found) == 4
+    for f, r in zip(found, (-5.0, 0.0, 2.5, 5.0)):
+        assert f.interval.contains(r) and f.interval.width() < 1e-12
+    assert all(a.interval.hi < b.interval.lo
+               for a, b in zip(found, found[1:]))
+
+
 def test_roots_no_real_roots():
     assert verified_real_roots([1.0, 0.0, 1.0], Interval(-5.0, 5.0)) == []
 

@@ -127,16 +127,6 @@ def test_staircase_trajectory_strictly_decreasing():
         assert m_k(b) > m_k(a_)  # the lower curve descends with M
 
 
-def test_chunked_run_equivalent():
-    single = run_separation(SeparationConfig(0.3, 0.2))
-    chunked = run_separation(SeparationConfig(0.3, 0.2, parallel_chunks=3))
-    assert single.separated and chunked.separated
-    # Chunk boundaries restart higher, so counts differ, but every chunk
-    # must certify its own sub-range.
-    assert chunked.iterations >= 1
-    assert chunked.config.parallel_chunks == 3
-
-
 def test_report_serialization():
     rep = run_separation(SeparationConfig(0.12, 0.11))
     d = rep.to_dict()
