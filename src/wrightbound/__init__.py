@@ -11,7 +11,6 @@ from .interval import (
     DomainError,
     Interval,
     IntervalError,
-    RootEnclosure,
     hull,
     verified_real_roots,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "DomainError",
     "Interval",
     "IntervalError",
-    "RootEnclosure",
     "hull",
     "verified_real_roots",
 ]

@@ -358,7 +358,7 @@ def _arc_critical_points(p, b, upper):
         return []
     search = Interval(u_lo, u_hi)
     try:
-        enclosures = [re.interval for re in verified_real_roots(co, search)]
+        enclosures = verified_real_roots(co, search)
     except CertificationError:
         if not upper:
             return []
@@ -368,15 +368,56 @@ def _arc_critical_points(p, b, upper):
     return [e + 1.0 + b.alpha_plus for e in enclosures]
 
 
+def _cover_max(upper_end, n, best):
+    """max(best, upper_end(j, j + 1) for j in range(n)), by branch and bound.
+
+    upper_end(i, j) is the upper end of an enclosure over cells i..j-1 of
+    a grid, or None where they lie outside the domain; it must be
+    inclusion isotone, so that a range's value bounds each of its
+    cells'.  A range whose value is at most best is skipped, any other
+    is split at its middle index, and a single cell's value is taken.
+    A range that raises IntervalError is split too; a single cell that
+    raises still raises.
+    """
+    stack = [(0, n)]
+    while stack:
+        i, j = stack.pop()
+        try:
+            v = upper_end(i, j)
+        except IntervalError:
+            if j - i == 1:
+                raise
+            v = math.inf
+        if v is None or v <= best:
+            continue
+        if j - i == 1:
+            best = v
+        else:
+            k = (i + j) // 2
+            stack += ((k, j), (i, k))
+    return best
+
+
 def d_enclosure(p, mode):
     """Certified one-sided bound of D_a(M,m) = a^2 max_s frazeta(s).
 
     mode "lower" maximizes point and thin-interval candidates (any
     subinterval of [0,1] yields a valid lower bound); mode "upper"
-    covers every region the maximum can occupy: the plateau boundary,
-    the rising arc via endpoints plus quartic critical points, and
-    interval suprema over partitions of the remaining arcs, finally
-    clipped by the analytic bracket a^2*M/((1+m)^2*(1+M)).
+    covers every region the maximum can occupy: the rising arc's
+    quartic critical points, the plateau boundary and the breakpoints,
+    and interval suprema over a fixed grid of cells on the remaining
+    arcs, finally clipped by the analytic bracket a^2*M/((1+m)^2*(1+M)).
+
+    Upper mode visits each grid by branch and bound over index ranges,
+    after the candidates have set a running maximum: a range of cells is
+    evaluated once, as the union of its cells, and skipped when its
+    upper end is at most the running maximum (the cut-off test).
+    Skipping is sound by containment: the union's enclosure bounds
+    frazeta at every point of every cell in it.  It also returns the
+    same float as evaluating every cell: each operation of frazeta
+    (+ - * / and sqr on outward-rounded binary64 endpoints, z_eval's
+    clipping and hull) is inclusion isotone, so a skipped cell's own
+    upper end is at most the union's and cannot raise the maximum.
     """
     upper = mode == "upper"
     if mode not in ("lower", "upper"):
@@ -396,20 +437,24 @@ def d_enclosure(p, mode):
         z0 = z_eval(b, s)
         return ia2 * zm1 / ((1.0 + z0).sqr() * (1.0 + zm1))
 
-    vals = []
-
-    def consider(s):
+    def value(s):
+        """The mode's end of frazeta over s in [0, 1], or None."""
         c = s.intersect(unit)
-        if c is not None:
-            v = frazeta(c)
-            vals.append(v.hi if upper else v.lo)
+        if c is None:
+            return None
+        v = frazeta(c)
+        return v.hi if upper else v.lo
 
-    consider(imax(bk.alpha_plus, Interval.point(-1.0)) + 1.0)
-    consider(bk.beta_minus)
+    # Critical points first: in upper mode they hold the maximum in
+    # nearly every call, and the higher the running maximum, the more
+    # of the grid is skipped.
+    candidates = _arc_critical_points(p, bk, upper)
+    candidates += [imax(bk.alpha_plus, Interval.point(-1.0)) + 1.0,
+                   bk.beta_minus]
     if upper:
-        consider(bk.beta_plus + 1.0)
-    for s in _arc_critical_points(p, bk, upper):
-        consider(s)
+        candidates.append(bk.beta_plus + 1.0)
+    best = max((v for s in candidates if (v := value(s)) is not None),
+               default=-math.inf)
 
     # Partition cover of [min(beta_minus, beta_plus+1), min(alpha_minus, 1)],
     # split at the interior breakpoint to keep the pieces tight.
@@ -425,16 +470,25 @@ def d_enclosure(p, mode):
         if not hi > lo:
             continue
         step = (hi - lo) / n
-        for j in range(n):
-            consider(Interval(lo + j * step, hi if j == n - 1
-                              else lo + (j + 1) * step))
 
-    if not vals:
+        def cells(i, j):
+            return value(Interval(lo + i * step,
+                                  hi if j == n else lo + j * step))
+
+        if upper:
+            best = _cover_max(cells, n, best)
+            continue
+        for j in range(n):
+            v = cells(j, j + 1)
+            if v is not None:
+                best = max(best, v)
+
+    if best == -math.inf:
         raise AdmissibilityError(f"no candidate region inside [0,1] for {p!r}")
     if upper:
         bracket = ia2 * p.M / ((1.0 + p.m).sqr() * (1.0 + p.M))
-        return min(max(vals), bracket.hi)
-    return max(vals)
+        return min(best, bracket.hi)
+    return best
 
 
 def d_pair(p):

@@ -9,6 +9,7 @@ libm implementations are faithful but not correctly rounded).
 """
 
 import math
+from fractions import Fraction
 
 
 class IntervalError(ValueError):
@@ -24,7 +25,7 @@ class DomainError(IntervalError):
 
 
 class CertificationError(IntervalError):
-    """Raised when root isolation cannot be certified within budget."""
+    """Raised when root isolation cannot be certified."""
 
 
 _INF = math.inf
@@ -270,19 +271,6 @@ def imax(a, b):
 # -- verified polynomial root isolation ---------------------------------
 
 
-class RootEnclosure:
-    """A certified enclosure of one simple real root of a polynomial."""
-
-    __slots__ = ("interval", "unique")
-
-    def __init__(self, interval, unique):
-        self.interval = interval
-        self.unique = unique
-
-    def __repr__(self):
-        return f"RootEnclosure({self.interval!r}, unique={self.unique})"
-
-
 def poly_eval(coeffs, x):
     """Interval Horner evaluation; coeffs are highest degree first."""
     acc = Interval.point(float(coeffs[0]))
@@ -296,14 +284,18 @@ def poly_deriv(coeffs):
     return [float(c) * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def _newton_certify(coeffs, deriv, box, budget):
+# Interval Newton steps taken on one candidate box.
+_NEWTON_STEPS = 60
+
+
+def _newton_certify(coeffs, deriv, box):
     """Try to prove box holds exactly one simple root, then tighten it.
 
     Returns the tightened interval, or None if the interval Newton
     operator never contracts into the interior of the candidate box.
     """
     certified = False
-    for _ in range(budget):
+    for _ in range(_NEWTON_STEPS):
         m = box.mid()
         fm = poly_eval(coeffs, Interval.point(m))
         df = poly_eval(deriv, box)
@@ -331,6 +323,23 @@ def _signed(v):
     return v.lo > 0.0 or v.hi < 0.0
 
 
+def _value_at(coeffs, x):
+    """Enclosure of p(x) at a float x, signed unless p(x) is 0 or subnormal.
+
+    Where interval Horner straddles zero, p(x) is evaluated exactly in
+    rationals (coeffs and x are binary64, so exactly representable), and
+    its nearest float is widened by one ulp each way.
+    """
+    v = poly_eval(coeffs, Interval.point(x))
+    if _signed(v):
+        return v
+    exact = Fraction(0)
+    for c in coeffs:
+        exact = exact * Fraction(x) + Fraction(c)
+    f = float(exact)
+    return Interval(_dn(f), _up(f))
+
+
 def _float_root(coeffs, lo, hi, rising):
     """Plain-float bisection to the one root of a polynomial that rises
     (or falls) across [lo, hi]."""
@@ -347,16 +356,20 @@ def _float_root(coeffs, lo, hi, rising):
     return x
 
 
-def verified_real_roots(coeffs, search, budget=60):
+def verified_real_roots(coeffs, search):
     """Isolate every real root of a polynomial inside search.
 
     coeffs lists binary64 coefficients from highest degree to constant
-    (degree at most 4).  Returns one RootEnclosure per root, sorted by
-    position; no root in search is missed.  The window is bisected.  A
-    piece is dropped when its interval value excludes zero.  A piece on
-    which p' excludes zero holds at most one root, and holds none if p
-    has one strict sign at both its ends; otherwise interval Newton
-    certifies a box around a float seed.  Raises
+    (degree at most 4).  Returns one Interval per root, each holding
+    exactly one simple root, sorted by position; no root in search is
+    missed.  The window is bisected.  A piece is dropped when its
+    interval value excludes zero.  A piece on which p' excludes zero
+    holds at most one root, and holds none if p has one strict sign at
+    both its ends; otherwise interval Newton certifies a box around a
+    float seed.  The value of p at a piece's ends and centre takes its
+    sign from exact rational arithmetic where Horner's form cannot
+    decide it, so a polynomial that only comes within rounding of zero
+    is not mistaken for one with a root there.  Raises
     CertificationError when a piece still needs splitting at depth
     _MAX_DEPTH, or a seed resists certification (a multiple or
     clustered root).
@@ -391,8 +404,7 @@ def verified_real_roots(coeffs, search, budget=60):
             continue
         d = poly_eval(deriv, piece)
         if _signed(d):
-            ends = hull(poly_eval(cs, Interval.point(piece.lo)),
-                        poly_eval(cs, Interval.point(piece.hi)))
+            ends = hull(_value_at(cs, piece.lo), _value_at(cs, piece.hi))
             if known(piece) or _signed(ends):
                 continue
             # x lies in the piece and in the Newton candidate, so as in
@@ -400,7 +412,7 @@ def verified_real_roots(coeffs, search, budget=60):
             x = _float_root(cs, piece.lo, piece.hi, d.lo > 0.0)
             h = max(1e-13, 1e-12 * abs(x))
             while (box := _newton_certify(
-                    cs, deriv, Interval(x - h, x + h), budget)) is None:
+                    cs, deriv, Interval(x - h, x + h))) is None:
                 h *= 8.0
                 if h > 2.0 * scale:
                     raise CertificationError(
@@ -412,7 +424,7 @@ def verified_real_roots(coeffs, search, budget=60):
         # critical point, where Horner's form is not: without it, pieces
         # around a cluster of roots multiply into the thousands.
         c = piece.mid()
-        if _signed(poly_eval(cs, Interval.point(c)) + d * (piece - c)):
+        if _signed(_value_at(cs, c) + d * (piece - c)):
             continue
         left, right = piece.split()
         if depth >= _MAX_DEPTH or left.hi in (piece.lo, piece.hi):
@@ -422,4 +434,4 @@ def verified_real_roots(coeffs, search, budget=60):
         stack.append((left, depth + 1))
 
     clipped = (b.intersect(search) for b in sorted(boxes, key=lambda b: b.lo))
-    return [RootEnclosure(c, True) for c in clipped if c is not None]
+    return [c for c in clipped if c is not None]

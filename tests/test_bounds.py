@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from wrightbound import bounds
 from wrightbound.bounds import (
     DEFAULT_A,
     A,
@@ -19,6 +20,7 @@ from wrightbound.bounds import (
     BoundParams,
     L,
     L_limit_infinite_M,
+    _arc_critical_points,
     _L_jets,
     breakpoints,
     d_enclosure,
@@ -31,7 +33,8 @@ from wrightbound.bounds import (
     sigma_enclosure,
     z_eval,
 )
-from wrightbound.interval import CertificationError, Interval, hull
+from wrightbound.interval import CertificationError, Interval, hull, imax
+from wrightbound.separation import m_k
 
 mpmath.mp.dps = 40
 
@@ -357,7 +360,6 @@ def test_D_dense_grid_inside_bounds_100_pairs():
 def test_D_upper_without_certified_roots_stays_above_grid(monkeypatch):
     """When root isolation fails, the whole search window stands in for
     the rising arc's critical points: looser, still above the maximum."""
-    from wrightbound import bounds
     forced = []
 
     def fail(coeffs, search):
@@ -373,6 +375,90 @@ def test_D_upper_without_certified_roots_stays_above_grid(monkeypatch):
         assert _grid_max_D(A_STAR, M, m) <= fallback + 1e-12, (M, m)
         assert certified <= fallback, (M, m)
     assert len(forced) == 8
+
+
+def _d_every_cell(p, mode):
+    """Reference for d_enclosure: the same candidates and grid, with
+    frazeta evaluated on every cell of the grid."""
+    upper = mode == "upper"
+    n_arc, n_tail = (32, 10) if upper else (4, 4)
+    b = envelope(p, "combined")
+    bk = b.breakpoints
+    ia2 = pt(p.a).sqr()
+    vals = []
+
+    def consider(s):
+        c = s.intersect(Interval(0.0, 1.0))
+        if c is not None:
+            zm1 = z_eval(b, c - 1.0)
+            v = ia2 * zm1 / ((1.0 + z_eval(b, c)).sqr() * (1.0 + zm1))
+            vals.append(v.hi if upper else v.lo)
+
+    consider(imax(bk.alpha_plus, pt(-1.0)) + 1.0)
+    consider(bk.beta_minus)
+    if upper:
+        consider(bk.beta_plus + 1.0)
+    for s in _arc_critical_points(p, bk, upper):
+        consider(s)
+    am1 = bk.beta_plus + 1.0
+    top = min(bk.alpha_minus.hi, 1.0)
+    if am1.mid() <= bk.beta_minus.mid():
+        segments = [(am1.lo, bk.beta_minus.hi, n_arc),
+                    (bk.beta_minus.lo, top, n_tail)]
+    else:
+        segments = [(bk.beta_minus.lo, am1.hi, n_arc),
+                    (am1.lo, top, n_tail)]
+    for lo, hi, n in segments:
+        if hi > lo:
+            step = (hi - lo) / n
+            for j in range(n):
+                consider(Interval(lo + j * step, hi if j == n - 1
+                                  else lo + (j + 1) * step))
+    if upper:
+        bracket = ia2 * p.M / ((1.0 + p.m).sqr() * (1.0 + p.M))
+        return min(max(vals), bracket.hi)
+    return max(vals)
+
+
+def _rung_pairs(Ms, n=6):
+    """The (M, m) pairs at which theta_n(m_k(M)) evaluates D's upper
+    bound: m = m_k(M), M the iterates of theta_n from A(m)."""
+    out = []
+    for M in Ms:
+        m = m_k(M)
+        cur = A(pt(m), A_STAR).hi
+        for _ in range(n):
+            out.append((cur, m))
+            cur = sigma_enclosure(P(A_STAR, pt(cur), pt(m)), "upper")
+    return out
+
+
+def test_D_equals_every_cell_reference():
+    """Skipping cells by branch and bound returns the very float that
+    evaluating every cell does, on seeded pairs and on staircase rungs
+    (its start, dense middle and exit)."""
+    pairs = _d_admissible_pairs(150, 21)
+    pairs += _rung_pairs([0.377, 0.2, 0.0121, 0.00942])
+    for M, m in pairs:
+        p = P(A_STAR, pt(M), pt(m))
+        for mode in ("upper", "lower"):
+            assert d_enclosure(p, mode) == _d_every_cell(p, mode), \
+                (M, m, mode)
+
+
+@pytest.mark.parametrize("M, m", [(0.0097, -0.0095), (0.27, -0.2343)])
+def test_D_upper_skips_most_cells(monkeypatch, M, m):
+    """An upper bound costs at most half of the 46 frazeta evaluations
+    (two z_eval calls each) that a visit of every cell makes."""
+    calls = []
+
+    def counting(b, s):
+        calls.append(s)
+        return z_eval(b, s)
+
+    monkeypatch.setattr(bounds, "z_eval", counting)
+    d_enclosure(P(A_STAR, pt(M), pt(m)), "upper")
+    assert 0 < len(calls) <= 46
 
 
 def test_D_analytic_bracket():

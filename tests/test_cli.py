@@ -6,9 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wrightbound
 from wrightbound.cli import main
@@ -197,3 +200,60 @@ def test_curves_unknown_name_exit_two(runner, tmp_path):
     res = runner.invoke(main, ["curves", "bogus", "--grid-start", "0.1",
                                "--grid-stop", "0.2", "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+# -- fuzz ----------------------------------------------------------------
+
+
+def _inside_or_outside(lo, hi):
+    """Floats inside [lo, hi] and anywhere else, with inf and nan."""
+    return st.one_of(st.floats(lo, hi),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+_SLOPES = st.one_of(st.just(-37.0 / 24.0), st.floats(-2.0, 0.0),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _cli_args(draw):
+    """A separate or curves command of bounded cost: at most 3 rungs or
+    5 abscissas."""
+    common = ["--k", str(draw(st.integers(0, 7))),
+              "--n", str(draw(st.integers(0, 7))),
+              "--a", repr(draw(_SLOPES))]
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            M_stop = draw(st.floats(0.0094, 0.376))
+            M_start = draw(st.floats(M_stop, 0.377, exclude_min=True))
+        else:
+            M_stop = draw(_inside_or_outside(0.0094, 0.377))
+            M_start = draw(_inside_or_outside(0.0094, 0.377))
+        return "separate", [
+            "separate", "--from", repr(M_start), "--to", repr(M_stop),
+            "--max-steps", str(draw(st.integers(0, 3)))] + common
+    which = draw(st.sampled_from(["A", "m_k", "theta_n", "Lhat_lower"]))
+    window = (0.0094, 0.377) if which == "m_k" else (-0.25, -0.0093)
+    return "curves", [
+        "curves", which,
+        "--grid-start", repr(draw(_inside_or_outside(*window))),
+        "--grid-stop", repr(draw(_inside_or_outside(*window))),
+        "--points", str(draw(st.integers(-1, 5)))] + common
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_args())
+def test_cli_fuzz_exits_cleanly(command_argv):
+    """Every reachable input ends with exit code 0, 1 or 2 and no
+    traceback, and with a manifest unless it was a usage error."""
+    command, argv = command_argv
+    with tempfile.TemporaryDirectory() as out:
+        res = CliRunner().invoke(main, argv + ["--out", out])
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), argv
+        assert res.exit_code in (0, 1, 2), argv
+        assert "Traceback" not in res.output, argv
+        if res.exit_code in (0, 1):
+            assert (pathlib.Path(out)
+                    / f"{command}-manifest.json").exists(), argv

@@ -167,15 +167,15 @@ def test_roots_known_cubic():
     expect = [-1.0, (-1 - math.sqrt(97)) / 48, (-1 + math.sqrt(97)) / 48]
     expect.sort()
     for r, e in zip(roots, expect):
-        assert r.unique
-        assert abs(r.interval.mid() - e) < 1e-12
+        assert isinstance(r, Interval)
+        assert abs(r.mid() - e) < 1e-12
 
 
 def test_roots_search_window():
     roots = verified_real_roots([24.0, 25.0, 0.0, -1.0],
                                 Interval(-1.1, -0.9))
     assert len(roots) == 1
-    assert roots[0].interval.contains(-1.0)
+    assert roots[0].contains(-1.0)
 
 
 def test_roots_random_integer_quartics():
@@ -190,7 +190,7 @@ def test_roots_random_integer_quartics():
                                     Interval(-10.0, 10.0))
         assert len(found) == len(set(rs))
         for r in sorted(set(rs)):
-            assert any(f.interval.contains(float(r)) for f in found)
+            assert any(f.contains(float(r)) for f in found)
 
 
 def test_roots_on_the_window_edges():
@@ -199,9 +199,9 @@ def test_roots_on_the_window_edges():
     cs = [1.0, -2.0, -5.0, 6.0]
     found = verified_real_roots(cs, Interval(1.0, 3.0))
     assert len(found) == 2
-    assert found[0].interval.contains(1.0) and found[1].interval.contains(3.0)
+    assert found[0].contains(1.0) and found[1].contains(3.0)
     found = verified_real_roots(cs, Interval(-2.0, 0.5))
-    assert len(found) == 1 and found[0].interval.contains(-2.0)
+    assert len(found) == 1 and found[0].contains(-2.0)
 
 
 def test_roots_on_split_points_counted_once():
@@ -211,9 +211,25 @@ def test_roots_on_split_points_counted_once():
     found = verified_real_roots(cs, Interval(-10.0, 10.0))
     assert len(found) == 4
     for f, r in zip(found, (-5.0, 0.0, 2.5, 5.0)):
-        assert f.interval.contains(r) and f.interval.width() < 1e-12
-    assert all(a.interval.hi < b.interval.lo
+        assert f.contains(r) and f.width() < 1e-12
+    assert all(a.hi < b.lo
                for a, b in zip(found, found[1:]))
+
+
+def test_roots_beside_a_near_double_complex_pair():
+    # Roots 3 +- 3.6e-7i: the exact local maximum near 3 is about
+    # -5.2e-14, within Horner's rounding of zero at the nearby split
+    # points, where the sign now comes from exact rational arithmetic.
+    cs = [1.0, -9.743089373426228, 33.29141711841637, -44.6850896279901,
+          16.49592790073109]
+    found = verified_real_roots(cs, Interval(-1.0, 4.0))
+    mpmath_roots = mpmath.polyroots(cs, maxsteps=200, extraprec=200)
+    real = sorted(r for r in mpmath_roots if mpmath.im(r) == 0)
+    assert len(found) == len(real) == 2
+    for f, r in zip(found, real):
+        assert mpmath.mpf(f.lo) <= r <= mpmath.mpf(f.hi)
+    assert abs(found[0].mid() - 0.5793378) < 1e-7
+    assert abs(found[1].mid() - 3.1637516) < 1e-7
 
 
 def test_roots_no_real_roots():
