@@ -29,7 +29,9 @@ class BilliardProblem:
     q maps a float abscissa to an Interval enclosure of the upper curve;
     p_inverse maps an Interval to an Interval enclosure of the inverse
     of the lower curve.  Monotonicity of q and p on a superset of
-    [t_start, t_end] is a caller-supplied fact recorded in the outcome.
+    [t_start, t_end] is a caller-supplied assumption: run neither checks
+    nor records it, and a separation it reports holds only where the
+    assumption does.
     """
 
     q: Callable[[float], Interval]

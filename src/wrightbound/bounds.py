@@ -401,12 +401,14 @@ def _cover_max(upper_end, n, best):
 def d_enclosure(p, mode):
     """Certified one-sided bound of D_a(M,m) = a^2 max_s frazeta(s).
 
-    mode "lower" maximizes point and thin-interval candidates (any
-    subinterval of [0,1] yields a valid lower bound); mode "upper"
-    covers every region the maximum can occupy: the rising arc's
-    quartic critical points, the plateau boundary and the breakpoints,
-    and interval suprema over a fixed grid of cells on the remaining
-    arcs, finally clipped by the analytic bracket a^2*M/((1+m)^2*(1+M)).
+    mode "lower" maximizes the lower ends of frazeta over point and
+    thin-interval candidates: the rising arc's quartic critical points,
+    the plateau boundary and beta_minus (any subinterval of [0,1] yields
+    a valid lower bound).  mode "upper" covers every region the maximum
+    can occupy: the rising arc's quartic critical points, the plateau
+    boundary and the breakpoints, and interval suprema over a fixed grid
+    of cells on the remaining arcs, finally clipped by the analytic
+    bracket a^2*M/((1+m)^2*(1+M)).
 
     Upper mode visits each grid by branch and bound over index ranges,
     after the candidates have set a running maximum: a range of cells is
@@ -422,8 +424,6 @@ def d_enclosure(p, mode):
     upper = mode == "upper"
     if mode not in ("lower", "upper"):
         raise ValueError(f"unknown mode {mode!r}")
-    # Cells in the partition cover of the arc and of the tail past it.
-    n_arc, n_tail = (32, 10) if upper else (4, 4)
     b = envelope(p, "combined")
     bk = b.breakpoints
     if bk.beta_plus.hi >= 0.0 or bk.beta_minus.lo <= 0.0:
@@ -456,32 +456,30 @@ def d_enclosure(p, mode):
     best = max((v for s in candidates if (v := value(s)) is not None),
                default=-math.inf)
 
-    # Partition cover of [min(beta_minus, beta_plus+1), min(alpha_minus, 1)],
-    # split at the interior breakpoint to keep the pieces tight.
-    am1 = bk.beta_plus + 1.0
-    top = min(bk.alpha_minus.hi, 1.0)
-    if am1.mid() <= bk.beta_minus.mid():
-        segments = [(am1.lo, bk.beta_minus.hi, n_arc),
-                    (bk.beta_minus.lo, top, n_tail)]
-    else:
-        segments = [(bk.beta_minus.lo, am1.hi, n_arc),
-                    (am1.lo, top, n_tail)]
-    for lo, hi, n in segments:
-        if not hi > lo:
-            continue
-        step = (hi - lo) / n
+    if upper:
+        # Partition cover of [min(beta_minus, beta_plus+1),
+        # min(alpha_minus, 1)] by n_arc cells on the arc and n_tail on
+        # the tail past it, split at the interior breakpoint to keep the
+        # pieces tight.
+        n_arc, n_tail = 32, 10
+        am1 = bk.beta_plus + 1.0
+        top = min(bk.alpha_minus.hi, 1.0)
+        if am1.mid() <= bk.beta_minus.mid():
+            segments = [(am1.lo, bk.beta_minus.hi, n_arc),
+                        (bk.beta_minus.lo, top, n_tail)]
+        else:
+            segments = [(bk.beta_minus.lo, am1.hi, n_arc),
+                        (am1.lo, top, n_tail)]
+        for lo, hi, n in segments:
+            if not hi > lo:
+                continue
+            step = (hi - lo) / n
 
-        def cells(i, j):
-            return value(Interval(lo + i * step,
-                                  hi if j == n else lo + j * step))
+            def cells(i, j):
+                return value(Interval(lo + i * step,
+                                      hi if j == n else lo + j * step))
 
-        if upper:
             best = _cover_max(cells, n, best)
-            continue
-        for j in range(n):
-            v = cells(j, j + 1)
-            if v is not None:
-                best = max(best, v)
 
     if best == -math.inf:
         raise AdmissibilityError(f"no candidate region inside [0,1] for {p!r}")

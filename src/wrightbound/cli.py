@@ -99,7 +99,9 @@ def verify(selector, out):
 @click.option("--from", "m_start", type=float, required=True)
 @click.option("--to", "m_stop", type=float, required=True)
 @click.option("--k", type=int, default=5, show_default=True)
-@click.option("--n", type=int, default=6, show_default=True)
+@click.option("--n", type=int, default=6, show_default=True,
+              help="At most n Sigma steps per rung; the first rung takes "
+              "all n.")
 @click.option("--max-steps", type=int, default=None,
               help="Iteration budget (or WRIGHT_MAX_STEPS).")
 @click.option("--a", type=float, default=DEFAULT_A, show_default=True)

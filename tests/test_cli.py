@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wrightbound
+from wrightbound import separation
 from wrightbound.cli import main
+from wrightbound.interval import Interval
 
 
 @pytest.fixture()
@@ -113,6 +115,20 @@ def test_separate_domain_error_writes_manifest(runner, tmp_path, a, m):
     assert report["separated"] is False
     assert report["failure_reason"] == "domain_error"
     assert (report["final_M"], report["final_m"]) == (0.377, m)
+
+
+def test_separate_internal_consistency_writes_manifest(runner, tmp_path,
+                                                       monkeypatch):
+    # An L whose whole enclosure falls below the iterate: m_k raises.
+    monkeypatch.setattr(separation, "L",
+                        lambda p: Interval(p.m.lo - 0.02, p.m.lo - 0.01))
+    res = runner.invoke(main, ["separate", "--from", "0.2", "--to", "0.15",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "internal_consistency" in res.output
+    report = _manifest(tmp_path, "separate")["reports"][0]
+    assert report["failure_reason"] == "internal_consistency"
+    assert (report["final_M"], report["final_m"]) == (0.2, None)
 
 
 def test_separate_has_no_chunks_option(runner):

@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 
+from wrightbound import separation
 from wrightbound.bounds import DEFAULT_A, A
 from wrightbound.interval import Interval
 from wrightbound.separation import (
     CurveSample,
+    InternalConsistencyError,
     SeparationConfig,
     SeparationReport,
     emit_curves,
@@ -50,6 +52,21 @@ def test_m_k_depth_monotonicity():
         assert vals[-1] > vals[0]
 
 
+def test_m_k_stalls_within_the_enclosure():
+    # At depth 15 the step from -0.0289623492686888 has an enclosure of
+    # L whose lower end lies a few ulps below it: a stall, not a failure.
+    deep = m_k(0.03001, 15)
+    assert deep >= m_k(0.03001, 5)
+    assert deep == m_k(0.03001, 20)
+
+
+def test_m_k_raises_when_the_whole_step_falls(monkeypatch):
+    monkeypatch.setattr(separation, "L",
+                        lambda p: Interval(p.m.lo - 0.02, p.m.lo - 0.01))
+    with pytest.raises(InternalConsistencyError):
+        m_k(0.1)
+
+
 def test_m_k_domain_validation():
     with pytest.raises(ValueError):
         m_k(0.5)
@@ -83,6 +100,55 @@ def test_theta_domain_validation():
         theta_n(-0.3)
     with pytest.raises(ValueError):
         theta_n(-0.1, n=0)
+
+
+@pytest.mark.parametrize("m", [-0.2343, -0.1, -0.0121, -0.0094])
+def test_theta_warm_start_above_A_is_cold(m):
+    top = A(pt(m), DEFAULT_A).hi
+    for n in (1, 6):
+        cold = theta_n(m, n, DEFAULT_A)
+        for s in (top, math.nextafter(top, 1.0), top + 0.01):
+            assert theta_n(m, n, DEFAULT_A, start=s) == cold
+
+
+@pytest.mark.parametrize("m", [-0.2343, -0.1, -0.0121, -0.0094])
+def test_theta_warm_result_at_most_start(m):
+    for j in range(1, 5):
+        s = theta_n(m, j)
+        for n in (1, 6):
+            assert theta_n(m, n, start=s) <= s
+
+
+def test_warm_rungs_stay_above_the_converged_bound():
+    # Each rung's bound must hold theta(m_j) for its own m_j; the cold
+    # 60-step iterate is the tightest certified bound of it.
+    rep = run_separation(SeparationConfig(0.2, 0.15))
+    traj = rep.trajectory_sample
+    assert rep.separated and len(traj) == rep.iterations + 1
+    for M, M_next in zip(traj, traj[1:]):
+        assert M_next >= theta_n(m_k(M), 60)
+
+
+def test_falling_m_makes_the_rung_cold(monkeypatch):
+    ms, starts = [], []
+
+    def fake_m_k(M, k, a):
+        # The third rung's m falls below the second's.
+        ms.append(m_k(M, k, a) if len(ms) != 2 else ms[-1] - 1e-4)
+        return ms[-1]
+
+    def spy_theta_n(m, n, a, *, start=None):
+        starts.append(start)
+        return theta_n(m, n, a, start=start)
+
+    monkeypatch.setattr(separation, "m_k", fake_m_k)
+    monkeypatch.setattr(separation, "theta_n", spy_theta_n)
+    rep = run_separation(SeparationConfig(0.2, 0.15, max_iterations=5))
+    traj = rep.trajectory_sample
+    assert len(starts) == 5
+    assert starts[0] is None and starts[2] is None
+    # The fourth rung's m is above the third's doctored one: warm again.
+    assert [starts[i] for i in (1, 3, 4)] == [traj[i] for i in (1, 3, 4)]
 
 
 def test_staircase_contraction_on_grid():
@@ -125,6 +191,40 @@ def test_staircase_trajectory_strictly_decreasing():
     assert all(b < a for a, b in zip(traj, traj[1:]))
     for a_, b in zip(traj, traj[1:]):
         assert m_k(b) > m_k(a_)  # the lower curve descends with M
+
+
+@pytest.mark.parametrize("start, stop", [(0.0121, 0.012),
+                                         (0.00942, 0.00940007)])
+def test_tail_pieces_separate_with_a_cold_first_rung(start, stop):
+    # The first rung runs theta_n cold with the default n; n <= 3 stalls
+    # here, so the default must stay above it.
+    rep = run_separation(SeparationConfig(start, stop))
+    assert rep.separated and rep.config.n == 6
+
+
+def test_deep_recursions_separate_after_an_m_k_stall():
+    rep = run_separation(SeparationConfig(0.03001, 0.020002, k=20, n=20))
+    assert rep.separated
+    assert 1274 // 2 <= rep.iterations <= 3 * 1274
+
+
+def test_proof_health_fields():
+    rep = run_separation(SeparationConfig(0.2, 0.09))
+    traj = rep.trajectory_sample
+    steps = [(a_ - b, a_) for a_, b in zip(traj, traj[1:])]
+    assert (rep.min_step, rep.min_step_at) == min(steps)
+    assert sum(rep.rungs_by_decade.values()) == rep.iterations
+    assert set(rep.rungs_by_decade) == {"1e-1", "1e-2"}
+    d = rep.to_dict()
+    assert d["min_step"] == rep.min_step
+    assert d["rungs_by_decade"] == rep.rungs_by_decade
+
+
+def test_proof_health_without_a_step():
+    rep = run_separation(SeparationConfig(0.0094001, 0.0094))
+    assert rep.separated and rep.iterations == 1
+    assert rep.min_step is None and rep.min_step_at is None
+    assert rep.rungs_by_decade == {"1e-3": 1}
 
 
 def test_report_serialization():
